@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.query.base import LineageQuery
 from repro.workflow.depths import DepthAnalysis
 from repro.workflow.model import Dataflow, PortRef, WorkflowError
+from repro.workflow.visit import upstream_processors  # noqa: F401  (re-export)
 
 
 class QueryValidationError(WorkflowError):
@@ -116,60 +117,27 @@ def suggest_names(
     )
 
 
-def upstream_processors(flow: Dataflow, start: PortRef) -> FrozenSet[str]:
-    """Processors whose *outputs* lie on some dataflow path into ``start``.
-
-    Exactly the processors whose input bindings a lineage traversal from
-    ``start`` can ever surface: both NI (Def. 1) and INDEXPROJ (Alg. 2)
-    collect input bindings only when they pass *through* a processor via
-    one of its output ports.  Mirrors the traversal order of
-    ``build_plan`` with the index bookkeeping stripped out.
-    """
-    producing: Set[str] = set()
-    visited: Set[PortRef] = set()
-    stack: List[PortRef] = [start]
-    while stack:
-        ref = stack.pop()
-        if ref in visited:
-            continue
-        visited.add(ref)
-        if ref.node == flow.name:
-            arc = flow.incoming_arc(ref)
-            if arc is not None:
-                stack.append(arc.source)
-            continue
-        processor = flow.processor(ref.node)
-        if processor.has_output(ref.port):
-            producing.add(ref.node)
-            stack.extend(
-                PortRef(processor.name, port.name)
-                for port in processor.inputs
-            )
-        else:
-            arc = flow.incoming_arc(ref)
-            if arc is not None:
-                stack.append(arc.source)
-    return frozenset(producing)
-
-
 def _resolve_binding(
     flow: Dataflow, query: LineageQuery
 ) -> List[PrecheckIssue]:
-    """Name-resolution issues for the binding ``node:port`` (maybe empty)."""
-    node_names = [flow.name, *flow.processor_names]
-    if query.node != flow.name and not flow.has_processor(query.node):
+    """Name-resolution issues for the binding ``node:port`` (maybe empty).
+
+    The candidate lists for did-you-mean are only built once a name has
+    failed to resolve: the common case is two dict lookups.
+    """
+    if query.node == flow.name:
+        owner = flow
+    elif flow.has_processor(query.node):
+        owner = flow.processor(query.node)
+    else:
         return [
             PrecheckIssue(
                 "unknown-node",
                 f"workflow {flow.name!r} has no node {query.node!r}",
-                suggest_names(query.node, node_names),
+                suggest_names(query.node, [flow.name, *flow.processor_names]),
             )
         ]
-    if query.node == flow.name:
-        ports = [p.name for p in flow.inputs + flow.outputs]
-    else:
-        processor = flow.processor(query.node)
-        ports = [p.name for p in processor.inputs + processor.outputs]
+    ports = [p.name for p in owner.inputs + owner.outputs]
     if query.port not in ports:
         return [
             PrecheckIssue(
@@ -186,19 +154,25 @@ def precheck_query(
 ) -> PrecheckReport:
     """Triage one lineage query using only the static analysis.
 
-    Pure function of the specification graph and the query; cost is
-    O(|ports| + |arcs|).  Never touches a :class:`TraceStore`.
+    Pure function of the specification graph and the query.  The one
+    graph walk it needs — the upstream-producer closure of the binding —
+    is memoized on ``analysis`` (:meth:`DepthAnalysis.upstream_producers`),
+    so the first query against a port costs O(|ports| + |arcs|) and every
+    later one is name lookups plus one set intersection.  Never touches a
+    :class:`TraceStore`.
     """
     flow = analysis.flow
     issues = _resolve_binding(flow, query)
-    known = set(flow.processor_names)
-    for name in sorted(query.focus - known):
-        issues.append(
+    unknown = sorted(n for n in query.focus if not flow.has_processor(n))
+    if unknown:
+        known = sorted(flow.processor_names)
+        issues.extend(
             PrecheckIssue(
                 "unknown-focus",
                 f"focus processor {name!r} is not in workflow {flow.name!r}",
-                suggest_names(name, sorted(known)),
+                suggest_names(name, known),
             )
+            for name in unknown
         )
     if issues:
         return PrecheckReport(query, "invalid", tuple(issues))
@@ -234,8 +208,7 @@ def precheck_query(
                 "input bindings of focus processors",
             ),
         )
-    producing = upstream_processors(flow, binding)
-    reachable = query.focus & producing
+    reachable = query.focus & analysis.upstream_producers(binding)
     if not reachable:
         return PrecheckReport(
             query,

@@ -19,12 +19,15 @@ This module compiles that static part **once** into a
   prepared) SQL text.
 
 Plans live in a :class:`PlanRegistry` — an LRU keyed like the PR-4
-result cache (workflow fingerprint + strategy + target + focus) and
-invalidated by the same store generation vectors: any maintenance or
-membership bump makes every cached program stale, and the next request
-recompiles against the current schema.  Recompilation is a spec-graph
-traversal (microseconds), so eager full eviction is both correct and
-cheap.
+result cache (workflow fingerprint + strategy + target + focus).  A
+program holds spec-derived constants only — no SQL text, no run ids, no
+trace data — so its validity is the key's workflow fingerprint plus the
+store's *global* generation, the counter that index drops/rebuilds and
+``vacuum`` bump.  Per-run bumps (ingest, ``delete_run``) change data,
+not the specification or the schema, and leave every plan in place:
+compiling the 58-processor testbed's deepest shape measures ~0.6 ms,
+so flushing on every write would charge that to each read that follows
+one.
 """
 
 from __future__ import annotations
@@ -82,16 +85,16 @@ class PlanKey:
 class CompiledPlan:
     """One (s1) traversal frozen into an executable program.
 
-    ``generations`` records the store's ``(global, membership)``
-    generations at compile time; the registry revalidates it on every
-    fetch, so a plan compiled before index maintenance or a membership
-    change is never executed afterwards.
+    ``generation`` records the store's global (maintenance/schema)
+    generation at compile time; the registry revalidates it on every
+    fetch, so a plan compiled before index maintenance or a vacuum is
+    never executed afterwards.
     """
 
     key: PlanKey
     lookups: Tuple[CompiledLookup, ...]
     visited_ports: int
-    generations: Tuple[int, int]
+    generation: int
     compile_seconds: float
 
     @property
@@ -110,7 +113,7 @@ def compile_plan(
     query: LineageQuery,
     fingerprint: str,
     strategy: str = "indexproj",
-    generations: Tuple[int, int] = (0, 0),
+    generation: int = 0,
 ) -> CompiledPlan:
     """Run (s1) once and fold its outcome into constants.
 
@@ -128,7 +131,7 @@ def compile_plan(
         key=PlanKey.of(fingerprint, query, strategy),
         lookups=lookups,
         visited_ports=plan.visited_ports,
-        generations=generations,
+        generation=generation,
         compile_seconds=time.perf_counter() - started,
     )
 
@@ -136,13 +139,14 @@ def compile_plan(
 class PlanRegistry:
     """Generation-aware LRU of compiled programs.
 
-    Shares the coherence protocol of :mod:`repro.cache`: entries carry
-    the store's ``(global, membership)`` generations from compile time
-    and are served only while the current generations compare equal; the
-    store's invalidation listener additionally evicts eagerly, so a
-    maintenance bump empties the registry the moment it happens (no
-    stale prepared program can survive a schema change even if the
-    generation check were skipped).  Thread-safe; counters mirror into
+    Shares the coherence protocol of :mod:`repro.cache`, restricted to
+    what a plan depends on: entries carry the store's *global*
+    generation from compile time and are served only while the current
+    one compares equal; the store's invalidation listener additionally
+    evicts eagerly on a global bump, so maintenance empties the registry
+    the moment it happens (no stale program can survive a schema change
+    even if the generation check were skipped).  Per-run bumps are not
+    invalidations.  Thread-safe; counters mirror into
     ``compiled.plan_hits`` / ``compiled.plan_misses`` when observability
     is enabled.
     """
@@ -168,15 +172,13 @@ class PlanRegistry:
 
     # ------------------------------------------------------------------
 
-    def _generations(self) -> Tuple[int, int]:
-        return (self.store.global_generation, self.store.membership_generation)
-
     def _on_generation_bump(self, run_id: Optional[str]) -> None:
-        # A compiled program depends on the schema (prepared statements)
-        # and on nothing about any single run's *data* — but membership
-        # bumps share a channel with data bumps, and recompiling is a
-        # microsecond spec traversal, so the conservative reaction to any
-        # bump is a full clear.
+        # The listener channel carries data bumps (a run id: ingest,
+        # delete_run) and global bumps (None: index maintenance, vacuum).
+        # A program binds run ids late and holds nothing read from any
+        # run, so only the second kind can make it stale.
+        if run_id is not None:
+            return
         with self._lock:
             if self._plans:
                 self.invalidations += len(self._plans)
@@ -193,10 +195,10 @@ class PlanRegistry:
     ) -> CompiledPlan:
         """Fetch the program for a query, compiling on miss/stale."""
         key = PlanKey.of(fingerprint, query, strategy)
-        current = self._generations()
+        current = self.store.global_generation
         with self._lock:
             plan = self._plans.get(key)
-            if plan is not None and plan.generations == current:
+            if plan is not None and plan.generation == current:
                 self._plans.move_to_end(key)
                 self.hits += 1
                 hit = True
@@ -210,7 +212,7 @@ class PlanRegistry:
         if self.obs.enabled:
             self.obs.inc("compiled.plan_misses")
         plan = compile_plan(
-            analysis, query, fingerprint, strategy, generations=current
+            analysis, query, fingerprint, strategy, generation=current
         )
         with self._lock:
             self._plans[key] = plan
@@ -228,12 +230,12 @@ class PlanRegistry:
     ) -> str:
         """``"warm"``/``"cold"`` without compiling (explain support)."""
         key = PlanKey.of(fingerprint, query, strategy)
-        current = self._generations()
+        current = self.store.global_generation
         with self._lock:
             plan = self._plans.get(key)
             return (
                 "warm"
-                if plan is not None and plan.generations == current
+                if plan is not None and plan.generation == current
                 else "cold"
             )
 

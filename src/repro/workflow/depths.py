@@ -30,11 +30,11 @@ per-processor layout of output-index fragments (Prop. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.strategy import StrategyError, fragment_offsets, node_level, parse_strategy
 from repro.workflow.model import Dataflow, PortRef, Processor, WorkflowError
-from repro.workflow.visit import topological_sort
+from repro.workflow.visit import topological_sort, upstream_processors
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,11 @@ class DepthAnalysis:
         self._mismatches = mismatches
         self._levels = levels
         self._layouts = layouts
+        # Upstream-producer closures by binding, filled on first use (at
+        # most one entry per port).  A closure is a pure function of the
+        # flow, so racing threads compute equal frozensets and the single
+        # dict store publishes a finished value: no lock.
+        self._upstream: Dict[PortRef, FrozenSet[str]] = {}
 
     def depth_of(self, ref: PortRef) -> int:
         """Propagated actual depth ``depth(P:X)`` of any addressable port."""
@@ -102,6 +107,19 @@ class DepthAnalysis:
             return self._layouts[processor]
         except KeyError:
             raise WorkflowError(f"unknown processor {processor!r}") from None
+
+    def upstream_producers(self, ref: PortRef) -> FrozenSet[str]:
+        """Processors with an output on some dataflow path into ``ref``.
+
+        :func:`repro.workflow.visit.upstream_processors`, walked once per
+        port of this analysis and kept: like the depths, the closure is
+        spec-derived and shared by every later query and run.
+        """
+        closure = self._upstream.get(ref)
+        if closure is None:
+            self.depth_of(ref)  # unknown ports raise instead of growing the memo
+            closure = self._upstream[ref] = upstream_processors(self.flow, ref)
+        return closure
 
     def as_table(self) -> List[Tuple[str, int, int]]:
         """``(port, dd, depth)`` rows for debugging and documentation."""

@@ -98,6 +98,13 @@ class Processor:
         self.config: Dict[str, Any] = dict(config or {})
         _reject_duplicates(name, self.inputs)
         _reject_duplicates(name, self.outputs)
+        # Name tables: ports are fixed at construction, and the lookups
+        # below sit on per-request paths (precheck, plan building, the
+        # executor's input binding).
+        self._input_positions: Dict[str, int] = {
+            port.name: position for position, port in enumerate(self.inputs)
+        }
+        self._output_names = frozenset(port.name for port in self.outputs)
         # Validate the strategy spec against the declared inputs up front —
         # structural errors should surface at definition time, not mid-run.
         from repro.strategy import StrategyError, parse_strategy
@@ -118,17 +125,19 @@ class Processor:
         return _find_port(self.outputs, name, self.name, "output")
 
     def has_input(self, name: str) -> bool:
-        return any(p.name == name for p in self.inputs)
+        return name in self._input_positions
 
     def has_output(self, name: str) -> bool:
-        return any(p.name == name for p in self.outputs)
+        return name in self._output_names
 
     def input_position(self, name: str) -> int:
         """0-based position of an input port — port order drives Prop. 1."""
-        for position, port in enumerate(self.inputs):
-            if port.name == name:
-                return position
-        raise WorkflowError(f"processor {self.name!r} has no input port {name!r}")
+        try:
+            return self._input_positions[name]
+        except KeyError:
+            raise WorkflowError(
+                f"processor {self.name!r} has no input port {name!r}"
+            ) from None
 
     @property
     def is_subflow(self) -> bool:
@@ -181,6 +190,13 @@ class Dataflow:
         _reject_duplicates(name, self.outputs)
         self._processors: Dict[str, Processor] = {}
         self._arcs: List[Arc] = []
+        # Adjacency indexes, maintained by add_arc (the only writer of
+        # _arcs).  Every bucket keeps insertion order, so an indexed
+        # accessor returns exactly what a scan of _arcs would.
+        self._arc_by_sink: Dict[PortRef, Arc] = {}
+        self._arcs_by_source: Dict[PortRef, List[Arc]] = {}
+        self._arcs_into: Dict[str, List[Arc]] = {}
+        self._arcs_out_of: Dict[str, List[Arc]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -200,11 +216,14 @@ class Dataflow:
         """
         self._check_source(source)
         self._check_sink(sink)
-        for arc in self._arcs:
-            if arc.sink == sink:
-                raise WorkflowError(f"sink {sink} already has an incoming arc")
+        if sink in self._arc_by_sink:
+            raise WorkflowError(f"sink {sink} already has an incoming arc")
         arc = Arc(source, sink)
         self._arcs.append(arc)
+        self._arc_by_sink[sink] = arc
+        self._arcs_by_source.setdefault(source, []).append(arc)
+        self._arcs_into.setdefault(sink.node, []).append(arc)
+        self._arcs_out_of.setdefault(source.node, []).append(arc)
         return arc
 
     def _check_source(self, ref: PortRef) -> None:
@@ -254,19 +273,16 @@ class Dataflow:
 
     def incoming_arc(self, sink: PortRef) -> Optional[Arc]:
         """The unique arc into ``sink``, or ``None`` for unconnected ports."""
-        for arc in self._arcs:
-            if arc.sink == sink:
-                return arc
-        return None
+        return self._arc_by_sink.get(sink)
 
     def outgoing_arcs(self, source: PortRef) -> List[Arc]:
-        return [arc for arc in self._arcs if arc.source == source]
+        return list(self._arcs_by_source.get(source, ()))
 
     def arcs_into_processor(self, name: str) -> List[Arc]:
-        return [arc for arc in self._arcs if arc.sink.node == name]
+        return list(self._arcs_into.get(name, ()))
 
     def arcs_out_of_processor(self, name: str) -> List[Arc]:
-        return [arc for arc in self._arcs if arc.source.node == name]
+        return list(self._arcs_out_of.get(name, ()))
 
     def iter_port_refs(self) -> Iterator[PortRef]:
         """Every addressable port in the graph, workflow ports included."""
@@ -369,7 +385,6 @@ class Dataflow:
         subflow_hosts = {
             p.name for p in self._processors.values() if p.is_subflow
         }
-        feeds = {arc.sink: arc.source for arc in self._arcs}
 
         def resolve_source(ref: PortRef) -> Optional[PortRef]:
             # Chase subflow-output aliases and passthroughs until a real
@@ -383,10 +398,10 @@ class Dataflow:
                     return source_alias[ref]
                 if ref in passthrough:
                     host_input = passthrough[ref]
-                    outer = feeds.get(host_input)
+                    outer = self.incoming_arc(host_input)
                     if outer is None:
                         return None  # host input itself is unconnected
-                    ref = outer
+                    ref = outer.source
                     continue
                 return None  # subflow output with no internal producer
             return ref

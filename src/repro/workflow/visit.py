@@ -8,7 +8,7 @@ live here so the model module stays free of algorithms.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.workflow.model import Dataflow, PortRef, Processor, WorkflowError
 
@@ -84,6 +84,24 @@ def reachable_upstream(flow: Dataflow, start: PortRef) -> Set[PortRef]:
         seen.add(ref)
         frontier.extend(upstream_ports(flow, ref))
     return seen
+
+
+def upstream_processors(flow: Dataflow, start: PortRef) -> FrozenSet[str]:
+    """Processors whose *outputs* lie on some dataflow path into ``start``.
+
+    Exactly the processors whose input bindings a lineage traversal from
+    ``start`` can ever surface: both NI (Def. 1) and INDEXPROJ (Alg. 2)
+    collect input bindings only when they pass *through* a processor via
+    one of its output ports — the producing side of
+    :func:`reachable_upstream`, which steps exactly as ``build_plan``
+    does with the index bookkeeping stripped out.
+    """
+    return frozenset(
+        ref.node
+        for ref in reachable_upstream(flow, start)
+        if ref.node != flow.name
+        and flow.processor(ref.node).has_output(ref.port)
+    )
 
 
 def paths_between(

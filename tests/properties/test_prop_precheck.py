@@ -11,6 +11,10 @@ specification graph alone, so its claims must hold for *every* run:
 * **viable** — execution proceeds and, whenever it produces bindings, the
   producing processors are within the statically computed reachable focus
   (the contrapositive of the empty proof).
+
+And because the upstream closure is memoized per port on the workflow's
+``DepthAnalysis``, a report served from the memo must equal the report a
+fresh graph walk yields, in any call order.
 """
 
 import random
@@ -166,3 +170,48 @@ class TestPrecheckAgreement:
         )
         naive, _ = execute_both(case, captured, query)
         assert {b.node for b in naive.bindings} <= closure
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(min_value=0, max_value=99))
+    def test_memoized_closure_equals_fresh_walk(self, seed, query_seed):
+        """Differential: reports served through the closure memo of a
+        shared DepthAnalysis equal those of an analysis that has walked
+        nothing yet, whatever was asked before — viable, empty and
+        invalid queries, each asked twice, in both orders."""
+        case = make_random_workflow(seed)
+        flow = case.flow
+        out = flow.outputs[0].name
+        names = flow.processor_names
+        rng = random.Random(query_seed * 7919 + seed)
+        probe = propagate_depths(flow)
+        queries = [random_static_query(case, probe, rng) for _ in range(6)]
+        queries += [
+            LineageQuery.create(flow.name, out, (), names),  # viable
+            LineageQuery.create(flow.name, out, (), ()),  # empty focus
+            LineageQuery.create(flow.name, "no-such-port", (), names),
+            LineageQuery.create(flow.name, out, (), ["no-such-processor"]),
+        ]
+
+        reference = {}
+        for query in queries:
+            report = precheck_query(propagate_depths(flow), query)
+            reference[query] = report
+            if report.is_invalid or not query.focus:
+                assert report.reachable_focus == frozenset()
+                continue
+            # The reference itself is tied to the bare graph walk.
+            walked = upstream_processors(
+                flow, PortRef(query.node, query.port)
+            )
+            assert report.reachable_focus == query.focus & walked
+            assert report.is_empty == (not query.focus & walked)
+        verdicts = {report.verdict for report in reference.values()}
+        assert verdicts == {"viable", "empty", "invalid"}
+
+        for order in (queries, queries[::-1]):
+            shared = propagate_depths(flow)
+            for _ in range(2):
+                for query in order:
+                    assert precheck_query(shared, query) == reference[query], (
+                        f"seed={seed} {query}"
+                    )

@@ -1,11 +1,13 @@
 """Compiled-plan registry: reuse, invalidation, statement-cache coherence.
 
-Pins the tentpole's safety story: a compiled program never survives a
-store generation bump — index maintenance (``drop_indexes`` /
-``create_indexes``), ``vacuum`` and ``delete_run`` all evict the
-registry and force a recompile, and a global bump additionally flushes
-the per-connection prepared-statement accounting epoch.  Registry
-mechanics (LRU eviction, hit/miss counters, capacity validation) and
+Pins the registry's safety story: a compiled program never survives a
+*global* store generation bump — index maintenance (``drop_indexes`` /
+``create_indexes``) and ``vacuum`` evict the registry and force a
+recompile, and additionally flush the per-connection prepared-statement
+accounting epoch — while per-run bumps (ingest, ``delete_run``) change
+data, not the specification or the schema, and keep every plan: the next
+compiled call is a hit and still answers exactly as the interpreter
+does.  Registry mechanics (LRU eviction, hit/miss counters, capacity validation) and
 the service/explain surface ride along.
 """
 
@@ -142,12 +144,32 @@ class TestGenerationInvalidation:
         vacuum(service.store)
         self._assert_recompiled(service, engine, scope, reference)
 
-    def test_delete_run_evicts_and_recompiles(self, service, engine):
-        scope, reference = self._warm(service, engine)
-        service.store.delete_run(scope[-1])
-        self._assert_recompiled(
-            service, engine, scope[:-1], reference
+    def test_run_bumps_keep_the_plan(self, service, engine):
+        """delete_run and ingest bump per-run generations only: the plan
+        survives both, and the kept plan still answers like the
+        interpreter — ``[]`` for the deleted run, bindings for the new."""
+        scope, _ = self._warm(service, engine)
+        victim = scope[-1]
+        service.store.delete_run(victim)
+        after_delete = engine.lineage_multirun_compiled(scope, _query())
+        assert engine.plan_registry.stats()["hits"] == 1
+        assert after_delete.per_run[victim].bindings == []
+        assert (
+            after_delete.binding_keys_by_run()
+            == engine.lineage_multirun(scope, _query()).binding_keys_by_run()
         )
+        service.run("wf", {"size": 2})
+        grown = _scope(service)
+        assert grown[-1] not in scope
+        after_ingest = engine.lineage_multirun_compiled(grown, _query())
+        assert after_ingest.per_run[grown[-1]].bindings
+        assert (
+            after_ingest.binding_keys_by_run()
+            == engine.lineage_multirun(grown, _query()).binding_keys_by_run()
+        )
+        stats = engine.plan_registry.stats()
+        assert (stats["hits"], stats["misses"]) == (2, 1)
+        assert stats["invalidations"] == 0
 
     def test_stale_plan_never_served_without_listener(self, service):
         """Belt and braces: even if eager eviction were skipped, the
@@ -162,7 +184,7 @@ class TestGenerationInvalidation:
             key=stale.key,
             lookups=stale.lookups,
             visited_ports=stale.visited_ports,
-            generations=(stale.generations[0] - 1, stale.generations[1]),
+            generation=stale.generation - 1,
             compile_seconds=stale.compile_seconds,
         )
         registry._plans[key] = doctored
@@ -244,6 +266,13 @@ class TestServiceSurface:
         warm = service.explain_plan(_query())
         assert warm.plan_state == "warm"
         assert "execution: compiled (plan warm" in warm.summary()
+        # plan_state follows the registry's rule: data bumps keep the
+        # plan, a global (maintenance) bump makes it cold again.
+        service.run("wf", {"size": 2})
+        service.store.delete_run(_scope(service)[0])
+        assert service.explain_plan(_query()).plan_state == "warm"
+        service.store.create_indexes()
+        assert service.explain_plan(_query()).plan_state == "cold"
 
 
 class TestCompileFunction:

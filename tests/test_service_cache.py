@@ -276,3 +276,80 @@ class TestRedefinedWorkflow:
         svc.register_workflow(changed)
         assert svc.lineage(_query()).from_cache is False
         svc.close()
+
+
+class TestSpecWorkHappensOncePerWorkflow:
+    """A count, not a timing: once the specification graph has been
+    analysed for a binding, a warm read never walks it again."""
+
+    def test_result_cache_hit_never_walks_the_spec_graph(self, monkeypatch):
+        from repro.testbed.generator import (
+            LISTGEN_PROCESSOR,
+            chain_product_workflow,
+        )
+        from repro.workflow.model import Dataflow
+
+        flow = chain_product_workflow(28)
+        assert len(flow.processors) == 58
+        query = LineageQuery.create(
+            flow.name, "out", [0, 1], focus=[LISTGEN_PROCESSOR]
+        )
+        with ProvenanceService(obs=Observability()) as svc:
+            svc.register_workflow(flow)
+            svc.run(flow.name, {"ListSize": 2})
+            warm_up = svc.lineage(query)
+            assert warm_up.from_cache is False
+
+            calls = []
+            original = Dataflow.incoming_arc
+
+            def counting(self, sink):
+                calls.append(sink)
+                return original(self, sink)
+
+            monkeypatch.setattr(Dataflow, "incoming_arc", counting)
+            reads_before = svc.obs.counter_value("store.reads")
+            hit = svc.lineage(query)
+            assert hit.from_cache is True
+            assert calls == []
+            assert svc.obs.counter_value("store.reads") == reads_before
+            assert svc.obs.counter_value("analysis.precheck_viable") == 2
+            assert hit.binding_keys_by_run() == warm_up.binding_keys_by_run()
+
+    def test_reregistering_changed_workflow_replaces_the_closure(self):
+        """The memo lives on the DepthAnalysis that register_workflow
+        builds, so a redefinition can never be triaged with the old
+        graph's closure: B is upstream of wf:out in the diamond, and
+        stranded once F takes both inputs from A."""
+        from repro.workflow.model import Dataflow, PortRef
+
+        only_b = LineageQuery.create("wf", "out", [1, 1], focus=["B"])
+        with ProvenanceService() as svc:
+            svc.register_workflow(build_diamond_workflow())
+            svc.run("wf", {"size": 2})
+            assert svc.explain_plan(only_b).report.verdict == "viable"
+            assert svc.lineage(only_b).binding_keys_by_run()
+
+            diamond = build_diamond_workflow()
+            changed = Dataflow(diamond.name, diamond.inputs, diamond.outputs)
+            for processor in diamond.processors:
+                changed.add_processor(processor)
+            for arc in diamond.arcs:
+                source = (
+                    PortRef("A", "y")
+                    if arc.sink == PortRef("F", "b")
+                    else arc.source
+                )
+                changed.add_arc(source, arc.sink)
+            svc.register_workflow(changed)
+
+            report = svc.explain_plan(only_b).report
+            assert report.verdict == "empty"
+            assert report.reachable_focus == frozenset()
+            stranded = svc.lineage(only_b)
+            assert stranded.from_cache is False
+            assert all(
+                result.bindings == [] for result in stranded.per_run.values()
+            )
+            through_a = LineageQuery.create("wf", "out", [1, 1], focus=["A"])
+            assert svc.explain_plan(through_a).report.verdict == "viable"
