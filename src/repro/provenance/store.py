@@ -583,29 +583,36 @@ def _ex_batch_keys(count: int = 6) -> List[BatchKey]:
 # -- compiled lookups (repro.query.compiled) --------------------------------
 #
 # A compiled trace query carries every run-independent constant of the
-# single-key matching rule, derived once at plan-compile time instead of
-# once per execution: the encoded fragment, its enumerated prefixes, the
-# LIKE pattern of the single-key statement, the (low, high) extension
-# range of the batched statement, and the bound-variable cost the
-# chunker charges for the key.  The run id is the only late-bound value.
+# single-key matching rule, derived once per distinct fragment when a
+# plan shape is bound to a query index instead of once per key per
+# execution: the encoded fragment, its enumerated prefixes, the LIKE
+# pattern of the single-key statement, the (low, high) extension range of
+# the batched statement, and the bound-variable cost the chunker charges
+# for the key.  The run id is bound later still, per execution.
 
 #: ``(node, port, encoded, prefixes, like, ext_low, ext_high, cost)``.
 CompiledLookup = Tuple[str, str, str, Tuple[str, ...], str, str, str, int]
+
+#: The port-independent tail of a :data:`CompiledLookup`.
+CompiledFragment = Tuple[str, Tuple[str, ...], str, str, str, int]
 
 #: One compiled grid key: a run id paired with a compiled lookup.
 CompiledPair = Tuple[str, CompiledLookup]
 
 
-def compile_lookup(node: str, port: str, index: Index) -> CompiledLookup:
-    """Fold one trace query's matching-rule constants into a tuple."""
-    encoded = index.encode()
+def compile_fragment(encoded: str) -> CompiledFragment:
+    """The matching-rule constants of one encoded index fragment."""
     prefixes = tuple(_prefixes(encoded))
     like = f"{encoded}.%" if encoded else "_%"
     low, high = _extension_range(encoded)
     # Each prefix costs one 5-column VALUES row; the extension range one
     # 6-column row — the same charge _batch_chunks levies per key.
-    return (node, port, encoded, prefixes, like, low, high,
-            5 * len(prefixes) + 6)
+    return (encoded, prefixes, like, low, high, 5 * len(prefixes) + 6)
+
+
+def compile_lookup(node: str, port: str, index: Index) -> CompiledLookup:
+    """Fold one trace query's matching-rule constants into a tuple."""
+    return (node, port) + compile_fragment(index.encode())
 
 
 def compiled_pair_id(pair: CompiledPair) -> BatchKeyId:

@@ -16,7 +16,11 @@ separately (Section 4):
 Because (s1) is independent of run data, a plan is shared by all runs of a
 multi-run query (Section 3.4) and cached across repeated queries on the
 same workflow ("it is feasible to cache the nodes visited in one query to
-speed up their access in subsequent queries").
+speed up their access in subsequent queries").  It is independent of the
+index *values* too — the projection rule slices by static offsets — so
+the traversal runs on position ranges and yields a :class:`PlanShape`
+per ``(port, |index|, focus)``; a :class:`QueryPlan` is a shape bound to
+one query's index.
 """
 
 from __future__ import annotations
@@ -25,13 +29,22 @@ import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.engine.events import Binding
 from repro.obs.core import NO_OBS, Observability
 from repro.provenance.store import StoreStats, TraceStore
 from repro.query.base import LineageQuery, LineageResult, MultiRunResult
-from repro.query.projection import project_output_index
+from repro.query.projection import project_output_range
 from repro.values.index import Index
 from repro.workflow.depths import DepthAnalysis, propagate_depths
 from repro.workflow.model import Dataflow, PortRef
@@ -61,24 +74,69 @@ class QueryPlan:
         return len(self.trace_queries)
 
 
-def build_plan(analysis: DepthAnalysis, query: LineageQuery) -> QueryPlan:
+#: One planned lookup with its fragment left symbolic: ``(processor,
+#: port, lo, hi)`` stands for ``Q(processor, port, q[lo:hi])`` of whatever
+#: query index ``q`` the shape is later bound to.
+PlanTemplate = Tuple[str, str, int, int]
+
+
+@dataclass(frozen=True)
+class PlanShape:
+    """The outcome of step (s1) for every query index of one length.
+
+    The traversal only slices the query index by static offsets (Prop. 1),
+    so what it plans depends on the target port, the focus set and
+    ``len(index)`` — never on the positions.  ``visited_ports`` counts the
+    (port, range) states the traversal expanded.
+    """
+
+    templates: Tuple[PlanTemplate, ...]
+    visited_ports: int
+
+    def bind(self, query: LineageQuery) -> QueryPlan:
+        """Substitute the query's index values into the templates.
+
+        Two ranges may carry the same value (index ``[1.1]``: ``q[0:1]``
+        and ``q[1:2]``); the trace queries they bind to are one lookup,
+        kept at its first position.
+        """
+        index = query.index
+        planned: Dict[TraceQuery, None] = {}  # insertion-ordered set
+        for processor, port, lo, hi in self.templates:
+            planned.setdefault(
+                TraceQuery(processor, port, index.slice(lo, hi - lo))
+            )
+        return QueryPlan(
+            query=query,
+            trace_queries=tuple(planned),
+            visited_ports=self.visited_ports,
+        )
+
+
+def build_shape(
+    analysis: DepthAnalysis,
+    node: str,
+    port: str,
+    arity: int,
+    focus: FrozenSet[str],
+) -> PlanShape:
     """Traverse the specification graph and plan the trace lookups.
 
-    Pure function of the static analysis and the query — never touches the
-    store.  Follows Alg. 2: at a processor output port, project the index
-    onto the input ports (querying the trace is *deferred* into the plan
-    when the processor is in focus) and continue from each input port; at
-    an input port or a workflow output port, follow the incoming arc.
+    Pure function of the static analysis and the query *form* — never
+    touches the store, never sees an index value.  Follows Alg. 2 with the
+    query index carried as a position range: at a processor output port,
+    project the range onto the input ports (querying the trace is
+    *deferred* into the shape when the processor is in focus) and continue
+    from each input port; at an input port or a workflow output port,
+    follow the incoming arc.
     """
     flow = analysis.flow
-    planned: Dict[TraceQuery, None] = {}  # insertion-ordered set
-    visited: Set[Tuple[str, str, str]] = set()
-    stack: List[Tuple[PortRef, Index]] = [
-        (PortRef(query.node, query.port), query.index)
-    ]
+    planned: Dict[PlanTemplate, None] = {}  # insertion-ordered set
+    visited: Set[Tuple[str, str, int, int]] = set()
+    stack: List[Tuple[PortRef, int, int]] = [(PortRef(node, port), 0, arity)]
     while stack:
-        ref, index = stack.pop()
-        key = (ref.node, ref.port, index.encode())
+        ref, lo, hi = stack.pop()
+        key = (ref.node, ref.port, lo, hi)
         if key in visited:
             continue
         visited.add(key)
@@ -87,27 +145,30 @@ def build_plan(analysis: DepthAnalysis, query: LineageQuery) -> QueryPlan:
             # the traversal's terminal nodes.
             arc = flow.incoming_arc(ref)
             if arc is not None:
-                stack.append((arc.source, index))
+                stack.append((arc.source, lo, hi))
             continue
         processor = flow.processor(ref.node)
         if processor.has_output(ref.port):
-            for port_name, fragment in project_output_index(
-                analysis, ref.node, index
+            for port_name, frag_lo, frag_hi in project_output_range(
+                analysis, ref.node, lo, hi
             ):
-                if ref.node in query.focus:
+                if ref.node in focus:
                     planned.setdefault(
-                        TraceQuery(ref.node, port_name, fragment)
+                        (ref.node, port_name, frag_lo, frag_hi)
                     )
-                stack.append((PortRef(ref.node, port_name), fragment))
+                stack.append((PortRef(ref.node, port_name), frag_lo, frag_hi))
         else:
             arc = flow.incoming_arc(ref)
             if arc is not None:
-                stack.append((arc.source, index))
-    return QueryPlan(
-        query=query,
-        trace_queries=tuple(planned),
-        visited_ports=len(visited),
-    )
+                stack.append((arc.source, lo, hi))
+    return PlanShape(templates=tuple(planned), visited_ports=len(visited))
+
+
+def build_plan(analysis: DepthAnalysis, query: LineageQuery) -> QueryPlan:
+    """Step (s1) for one query: its shape, bound to its index."""
+    return build_shape(
+        analysis, query.node, query.port, len(query.index), query.focus
+    ).bind(query)
 
 
 class IndexProjEngine:
@@ -158,8 +219,10 @@ class IndexProjEngine:
         #: injected); part of the paper's pre-processing cost.
         self.preprocess_seconds = t.seconds
         self.cache_plans = cache_plans
+        #: Shapes, not plans: keyed on the query form, so the cache is
+        #: bounded by the forms a workflow admits, not by index values.
         self._plan_cache: Dict[
-            Tuple[str, str, str, frozenset], QueryPlan
+            Tuple[str, str, int, frozenset], PlanShape
         ] = {}
 
     # ------------------------------------------------------------------
@@ -167,20 +230,21 @@ class IndexProjEngine:
     def plan(self, query: LineageQuery) -> Tuple[QueryPlan, float]:
         """Step (s1): return the (possibly cached) plan and its build time.
 
-        A cache hit reports the time of the lookup itself — effectively
-        zero — which is exactly the saving the paper attributes to sharing
-        the traversal across queries and runs.  Hits and misses land in
+        The cache holds :class:`PlanShape` objects keyed on the query
+        form ``(node, port, |index|, focus)``; a hit pays only the bind —
+        which is exactly the saving the paper attributes to sharing the
+        traversal across queries and runs.  Hits and misses land in
         the ``indexproj.plan_cache_hits`` / ``..._misses`` counters.
         """
-        key = (query.node, query.port, query.index.encode(), query.focus)
+        key = (query.node, query.port, len(query.index), query.focus)
         with self.obs.timer("indexproj.plan", query=str(query)) as span:
-            hit = self.cache_plans and key in self._plan_cache
-            if hit:
-                plan = self._plan_cache[key]
-            else:
-                plan = build_plan(self.analysis, query)
+            shape = self._plan_cache.get(key) if self.cache_plans else None
+            hit = shape is not None
+            if shape is None:
+                shape = build_shape(self.analysis, *key)
                 if self.cache_plans:
-                    self._plan_cache[key] = plan
+                    self._plan_cache[key] = shape
+            plan = shape.bind(query)
         if self.obs.enabled:
             self.obs.inc(
                 "indexproj.plan_cache_hits"
@@ -339,9 +403,10 @@ class IndexProjEngine:
         The registry returns the pre-compiled
         :class:`~repro.query.compiled.CompiledPlan` for this query shape
         (compiling on first sight or after a generation bump); execution
-        is then the bare minimum — cross the frozen lookup constants with
-        the run scope and hand the grid to the store's compiled
-        primitive, which binds against prepared statements.  Answers are
+        is then the bare minimum — bind the query's index values into the
+        shape's templates, cross the bound lookups with the run scope and
+        hand the grid to the store's compiled primitive, which binds
+        against prepared statements.  Answers are
         identical to :meth:`lineage_multirun` /
         :meth:`lineage_multirun_batched`, per run.
         """
@@ -353,15 +418,16 @@ class IndexProjEngine:
                 self.analysis, query, self._workflow_fingerprint()
             )
         plan_seconds = plan_timer.seconds
+        lookups = plan.bind(query.index)
         if self.obs.enabled:
             plan_timer.set(
                 cache="hit" if registry.hits > hits_before else "miss",
-                trace_queries=plan.trace_queries,
+                trace_queries=len(lookups),
                 visited_ports=plan.visited_ports,
                 execution="compiled",
             )
         stats = StoreStats()
-        pairs = plan.pairs(scope)
+        pairs = [(run_id, lookup) for run_id in scope for lookup in lookups]
         collected: Dict[str, Dict[Tuple[str, str, str], Binding]] = {
             run_id: {} for run_id in scope
         }

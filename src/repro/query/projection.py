@@ -32,6 +32,32 @@ from repro.values.index import Index
 from repro.workflow.depths import DepthAnalysis
 
 
+def project_output_range(
+    analysis: DepthAnalysis, processor: str, lo: int, hi: int
+) -> List[Tuple[str, int, int]]:
+    """The projection rule on a *position range* of the query index.
+
+    The rule only ever slices by static offsets, so it never needs the
+    positions themselves: given that the index arriving at ``processor``
+    is ``q[lo:hi]`` of some query index ``q``, each input port receives
+    ``q[lo':hi']`` with the bounds returned here, in port order.  Both
+    boundary behaviours above are applied to the range length.  Every
+    empty fragment is the same value (``[]``, the whole port), so empty
+    ranges are canonicalised to ``(0, 0)`` wherever they fall.
+    """
+    usable = min(hi - lo, analysis.iteration_level(processor))
+    ranges: List[Tuple[str, int, int]] = []
+    for layout in analysis.fragment_layout(processor):
+        start = min(layout.offset, usable)
+        end = min(layout.offset + layout.length, usable)
+        ranges.append(
+            (layout.port, lo + start, lo + end)
+            if end > start
+            else (layout.port, 0, 0)
+        )
+    return ranges
+
+
 def project_output_index(
     analysis: DepthAnalysis, processor: str, index: Index
 ) -> List[Tuple[str, Index]]:
@@ -39,16 +65,15 @@ def project_output_index(
 
     Returns ``(input port name, fragment)`` pairs in port order.  Works for
     both combinators: the static layout already encodes cross-product
-    offsets or the shared dot fragment.
+    offsets or the shared dot fragment.  The concrete form of
+    :func:`project_output_range` — the whole index is the range.
     """
-    level = analysis.iteration_level(processor)
-    usable = index.head(min(len(index), level))
-    fragments: List[Tuple[str, Index]] = []
-    for layout in analysis.fragment_layout(processor):
-        start = min(layout.offset, len(usable))
-        end = min(layout.offset + layout.length, len(usable))
-        fragments.append((layout.port, usable.slice(start, end - start)))
-    return fragments
+    return [
+        (port, index.slice(lo, hi - lo))
+        for port, lo, hi in project_output_range(
+            analysis, processor, 0, len(index)
+        )
+    ]
 
 
 def uncorrected_project_output_index(

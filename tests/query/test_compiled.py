@@ -13,13 +13,14 @@ the service/explain surface ride along.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.obs import Observability
 from repro.provenance.maintenance import vacuum
 from repro.query.base import LineageQuery
 from repro.query.compiled import (
-    CompiledPlan,
     PlanKey,
     PlanRegistry,
     compile_plan,
@@ -76,6 +77,34 @@ class TestRegistryReuse:
         engine.lineage_multirun_compiled(scope, _query())
         assert engine.plan_registry.stats()["hits"] == 1
 
+    def test_one_shape_serves_every_index_of_its_length(self, service):
+        from repro.query.indexproj import build_plan
+
+        obs = Observability()
+        engine = IndexProjEngine(
+            service.store, build_diamond_workflow(), obs=obs
+        )
+        scope = _scope(service)
+        queries = [_query(index=index) for index in [(1, 1), (0, 1), (1, 0)]]
+        for query in queries:
+            compiled = engine.lineage_multirun_compiled(scope, query)
+            assert (
+                compiled.binding_keys_by_run()
+                == engine.lineage_multirun(scope, query).binding_keys_by_run()
+            )
+        stats = engine.plan_registry.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (2, 1, 1)
+        # The span reports what was bound for *this* index, not the
+        # template count ([1.1] collapses coincident fragments).
+        spans = [
+            s for s in obs.tracer.find("indexproj.plan")
+            if s.attributes.get("execution") == "compiled"
+        ]
+        assert [s.attributes["cache"] for s in spans] == ["miss", "hit", "hit"]
+        assert [s.attributes["trace_queries"] for s in spans] == [
+            len(build_plan(engine.analysis, query)) for query in queries
+        ]
+
     def test_lru_eviction_at_capacity(self, service):
         registry = PlanRegistry(service.store, max_entries=2)
         flow = build_diamond_workflow()
@@ -108,6 +137,70 @@ class TestRegistryReuse:
         assert len(engine.plan_registry) == 1
         assert engine.plan_registry.clear() == 1
         assert len(engine.plan_registry) == 0
+
+
+class TestShapeReuseCounts:
+    """Count-based guard (no timing): (s1) runs once per query *form*.
+
+    The plan key is (fingerprint, strategy, port, |index|, focus); index
+    values are bound at execution, so distinct indices of one form never
+    reach the specification graph again.
+    """
+
+    def test_fifty_indices_compile_one_plan(self, monkeypatch):
+        from repro.testbed.generator import (
+            FINAL_PROCESSOR,
+            LIST_SIZE_INPUT,
+            LISTGEN_PROCESSOR,
+            chain_product_workflow,
+        )
+        from repro.workflow.model import Dataflow
+
+        def query(index, focus=(LISTGEN_PROCESSOR, "CHAIN1_0")):
+            return LineageQuery.create(
+                FINAL_PROCESSOR, "y", list(index), focus=list(focus)
+            )
+
+        calls = []
+        original = Dataflow.incoming_arc
+
+        def counting(self, sink):
+            calls.append(sink)
+            return original(self, sink)
+
+        with ProvenanceService(cache=False) as svc:
+            svc.register_workflow(chain_product_workflow(28, name="syn"))
+            svc.run("syn", {LIST_SIZE_INPUT: 8})
+            monkeypatch.setattr(Dataflow, "incoming_arc", counting)
+
+            def plans():
+                stats = svc.cache_stats()["plans"]
+                return stats["misses"], stats["hits"]
+
+            indices = [(i, j) for i in range(8) for j in range(8)][:50]
+            assert svc.lineage(query(indices[0])).binding_keys_by_run()
+            assert calls, "the first query walks the specification graph"
+            del calls[:]
+            for index in indices[1:]:
+                result = svc.lineage(query(index))
+                assert all(r.bindings for r in result.per_run.values())
+            assert plans() == (1, 49)
+            assert calls == []
+
+            # Another |index| and another focus set: one more plan each,
+            # and each is again shared by every index of its form.
+            for i in range(8):
+                svc.lineage(query((i,)))
+            assert plans() == (2, 49 + 7)
+            for index in indices[:8]:
+                svc.lineage(query(index, focus=("CHAIN2_27",)))
+            assert plans() == (3, 49 + 7 + 7)
+
+            # Same name, changed definition: the fingerprint in the key
+            # changes, so the resident shapes are not served for it.
+            svc.register_workflow(chain_product_workflow(27, name="syn"))
+            svc.lineage(query(indices[0]))
+            assert plans() == (4, 49 + 7 + 7)
 
 
 class TestGenerationInvalidation:
@@ -180,16 +273,12 @@ class TestGenerationInvalidation:
         engine.lineage_multirun_compiled(_scope(service), _query())
         key = PlanKey.of(engine._workflow_fingerprint(), _query())
         stale = registry._plans[key]
-        doctored = CompiledPlan(
-            key=stale.key,
-            lookups=stale.lookups,
-            visited_ports=stale.visited_ports,
-            generation=stale.generation - 1,
-            compile_seconds=stale.compile_seconds,
+        registry._plans[key] = dataclasses.replace(
+            stale, generation=stale.generation - 1
         )
-        registry._plans[key] = doctored
         engine.lineage_multirun_compiled(_scope(service), _query())
         assert registry.stats()["misses"] == 2
+        assert registry._plans[key].generation == stale.generation
 
 
 class TestStatementCacheCoherence:
@@ -265,6 +354,10 @@ class TestServiceSurface:
         service.lineage(_query(), cache=False)
         warm = service.explain_plan(_query())
         assert warm.plan_state == "warm"
+        # The resident plan is a shape: an index never asked before, of
+        # the same length, is already warm; another length is not.
+        assert service.explain_plan(_query(index=(0, 1))).plan_state == "warm"
+        assert service.explain_plan(_query(index=(1,))).plan_state == "cold"
         assert "execution: compiled (plan warm" in warm.summary()
         # plan_state follows the registry's rule: data bumps keep the
         # plan, a global (maintenance) bump makes it cold again.
@@ -276,25 +369,48 @@ class TestServiceSurface:
 
 
 class TestCompileFunction:
-    def test_compile_plan_matches_build_plan(self, service, engine):
+    @staticmethod
+    def _analysis():
         from repro.workflow.depths import propagate_depths
 
-        analysis = propagate_depths(build_diamond_workflow().flattened())
+        return propagate_depths(build_diamond_workflow().flattened())
+
+    def test_compile_plan_matches_build_plan(self, service, engine):
+        from repro.query.indexproj import build_plan
+
+        analysis = self._analysis()
         plan = compile_plan(analysis, _query(), "fp")
-        assert plan.trace_queries == len(plan.lookups) > 0
         assert plan.key.fingerprint == "fp"
-        for lookup in plan.lookups:
-            node, port, encoded, prefixes, like, low, high, cost = lookup
+        assert plan.key.arity == 2
+        assert len(plan.templates) > 0
+        for node, port, lo, hi in plan.templates:
             assert isinstance(node, str) and isinstance(port, str)
-            assert cost == 5 * len(prefixes) + 6
-            assert like.endswith("%")
-            assert low < high
+            assert 0 <= lo <= hi <= plan.key.arity
+        # One shape, two indices: each binding is what build_plan plans.
+        for index in [(1, 1), (0, 1)]:
+            query = _query(index=index)
+            lookups = plan.bind(query.index)
+            assert [
+                (node, port, encoded) for node, port, encoded, *_ in lookups
+            ] == [
+                (tq.processor, tq.port, tq.fragment.encode())
+                for tq in build_plan(analysis, query).trace_queries
+            ]
+            for _, _, encoded, prefixes, like, low, high, cost in lookups:
+                assert prefixes[-1] == encoded
+                assert cost == 5 * len(prefixes) + 6
+                assert like.endswith("%")
+                assert low < high
 
     def test_pairs_cross_product(self, service):
-        from repro.workflow.depths import propagate_depths
+        plan = compile_plan(self._analysis(), _query(), "fp")
+        index = _query().index
+        lookups = plan.bind(index)
+        assert plan.pairs(["r1", "r2"], index) == [
+            (run, lookup) for run in ("r1", "r2") for lookup in lookups
+        ]
 
-        analysis = propagate_depths(build_diamond_workflow().flattened())
-        plan = compile_plan(analysis, _query(), "fp")
-        pairs = plan.pairs(["r1", "r2"])
-        assert len(pairs) == 2 * len(plan.lookups)
-        assert {run for run, _ in pairs} == {"r1", "r2"}
+    def test_bind_rejects_an_index_of_another_length(self, service):
+        plan = compile_plan(self._analysis(), _query(), "fp")
+        with pytest.raises(ValueError):
+            plan.bind(_query(index=(1,)).index)

@@ -72,7 +72,14 @@ class TestPlanning:
             analysis, LineageQuery.create("wf", "out", [0, 0], ["GEN"])
         )
         total_ports = len(list(flow.iter_port_refs()))
-        assert 0 < plan.visited_ports <= total_ports
+        # visited_ports counts (port, index range) states of the shape
+        # traversal: at most one per port per range of a 2-position index
+        # ([], [0:1], [1:2], [0:2]), and the same for every index value.
+        assert 0 < plan.visited_ports <= 4 * total_ports
+        other = build_plan(
+            analysis, LineageQuery.create("wf", "out", [0, 1], ["GEN"])
+        )
+        assert other.visited_ports == plan.visited_ports
 
     def test_plan_len(self):
         analysis = propagate_depths(build_diamond_workflow())
@@ -136,30 +143,38 @@ class TestExecution:
 
 
 class TestPlanCache:
-    def test_cache_returns_same_plan_object(self, diamond):
+    def test_cache_holds_one_shape_per_query_form(self, diamond):
+        """The cache is keyed on (port, |index|, focus) and bound per
+        call: 50 distinct indices cost one entry, not 50."""
         flow, _, store = diamond
         engine = IndexProjEngine(store, flow, cache_plans=True)
-        query = LineageQuery.create("F", "y", [0, 0], ["A"])
-        first, _ = engine.plan(query)
-        second, _ = engine.plan(query)
-        assert first is second
+        analysis = engine.analysis
+        for i in range(50):
+            query = LineageQuery.create("F", "y", [i, i % 7], ["A"])
+            plan, _ = engine.plan(query)
+            assert plan.query is query
+            assert plan.trace_queries == build_plan(analysis, query).trace_queries
+        assert len(engine._plan_cache) == 1
 
-    def test_cache_distinguishes_index_and_focus(self, diamond):
+    def test_cache_distinguishes_arity_and_focus(self, diamond):
         flow, _, store = diamond
         engine = IndexProjEngine(store, flow, cache_plans=True)
         base, _ = engine.plan(LineageQuery.create("F", "y", [0, 0], ["A"]))
-        other_index, _ = engine.plan(LineageQuery.create("F", "y", [0, 1], ["A"]))
-        other_focus, _ = engine.plan(LineageQuery.create("F", "y", [0, 0], ["B"]))
-        assert base is not other_index
-        assert base is not other_focus
+        other_index, _ = engine.plan(LineageQuery.create("F", "y", [1, 0], ["A"]))
+        assert len(engine._plan_cache) == 1
+        assert base.trace_queries != other_index.trace_queries
+        engine.plan(LineageQuery.create("F", "y", [0], ["A"]))
+        engine.plan(LineageQuery.create("F", "y", [0, 0], ["B"]))
+        assert len(engine._plan_cache) == 3
 
-    def test_cache_disabled_builds_fresh(self, diamond):
+    def test_cache_disabled_keeps_nothing(self, diamond):
         flow, _, store = diamond
         engine = IndexProjEngine(store, flow, cache_plans=False)
         query = LineageQuery.create("F", "y", [0, 0], ["A"])
         first, _ = engine.plan(query)
         second, _ = engine.plan(query)
-        assert first is not second
+        assert first == second
+        assert engine._plan_cache == {}
 
     def test_prebuilt_analysis_injection(self, diamond):
         flow, captured, store = diamond
